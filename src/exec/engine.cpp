@@ -356,13 +356,17 @@ std::vector<double> ExecutionEngine::trajectory_probabilities(
   // is the exception: which shots finish before expiry depends on thread
   // scheduling, so partial results are flagged, not reproducible.)
   const obs::TraceContext traj_ctx = span.context();  // pool threads parent here
+  // Bound once per run, not per block or per shot, and not in the compiled
+  // cache (DM runs share that cache and never run a shot). Every block reads
+  // the same program.
+  const sim::TrajectoryProgram program(compiled);
   pool().parallel_for(0, num_blocks, [&](std::size_t b) {
     obs::Span block_span("exec.traj_block", traj_ctx);
     const std::size_t begin = b * block;
     const std::size_t end = std::min(shots, begin + block);
     if (block_span.active()) block_span.arg("shots", end - begin);
     std::size_t completed = 0;
-    const auto local = sim::trajectory_counts_streamed(compiled, begin, end, seed,
+    const auto local = sim::trajectory_counts_streamed(program, begin, end, seed,
                                                        deadline, &completed);
     std::lock_guard<std::mutex> lock(merge_mutex);
     completed_total += completed;

@@ -242,79 +242,6 @@ void check_span(std::size_t dim, const std::vector<int>& qubits,
   }
 }
 
-/// Everything a kernel invocation needs, extracted from the operator once so
-/// matrix-apply loops (one kernel run per row) pay classification and
-/// unpacking a single time.
-struct Prepared {
-  KernelKind kind = KernelKind::GenericK;
-  int k = 1;                     // number of gate qubits (1..4)
-  int q[4] = {0, 0, 0, 0};       // qubit positions in operator order
-  std::size_t bit[4] = {};       // 1 << q[i]
-  int spos[4] = {0, 0, 0, 0};    // the same positions, sorted ascending
-  std::size_t offs[16] = {};     // sub-index -> address offset within a coset
-  int lo_pos = 0, hi_pos = 0;    // sorted positions for 2q coset enumeration
-  cplx m[256] = {};              // dense entries, row-major (up to 16x16)
-  cplx d[16] = {};               // diagonal entries
-  int perm[4] = {0, 1, 2, 3};    // source sub-index per output row (2q perm)
-  cplx phase[4] = {};
-  bool pure_swap = false;        // one transposition, all phases exactly 1
-  int swap_a = 0, swap_b = 0;    // the transposed sub-indices
-};
-
-Prepared prepare(const Matrix& op, const std::vector<int>& qubits,
-                 std::size_t dim) {
-  check_span(dim, qubits, op.rows());
-  QC_CHECK(op.rows() == op.cols());
-  QC_CHECK_MSG(qubits.size() <= 4, "prepared kernels cover k <= 4");
-  Prepared p;
-  p.kind = classify_kernel(op);
-  p.k = static_cast<int>(qubits.size());
-  for (int i = 0; i < p.k; ++i) {
-    p.q[i] = qubits[i];
-    p.bit[i] = std::size_t{1} << qubits[i];
-    p.spos[i] = qubits[i];
-  }
-  std::sort(p.spos, p.spos + p.k);
-  const std::size_t sub = op.rows();
-  for (std::size_t s = 0; s < sub; ++s) {
-    std::size_t off = 0;
-    for (int i = 0; i < p.k; ++i)
-      if ((s >> i) & 1U) off |= p.bit[i];
-    p.offs[s] = off;
-  }
-  for (std::size_t r = 0; r < sub; ++r)
-    for (std::size_t c = 0; c < sub; ++c) p.m[r * sub + c] = op(r, c);
-  for (std::size_t r = 0; r < sub; ++r) p.d[r] = op(r, r);
-  if (p.k == 2) {
-    p.lo_pos = p.spos[0];
-    p.hi_pos = p.spos[1];
-    if (p.kind == KernelKind::TwoQPermPhase) {
-      int moved = 0;
-      bool unit_phases = true;
-      for (int r = 0; r < 4; ++r) {
-        for (int c = 0; c < 4; ++c) {
-          if (op(r, c) != cplx{0.0, 0.0}) {
-            p.perm[r] = c;
-            p.phase[r] = op(r, c);
-          }
-        }
-        if (p.perm[r] != r) ++moved;
-        if (p.phase[r] != cplx{1.0, 0.0}) unit_phases = false;
-      }
-      if (moved == 2 && unit_phases) {
-        p.pure_swap = true;
-        for (int r = 0; r < 4; ++r)
-          if (p.perm[r] != r) {
-            p.swap_a = r;
-            p.swap_b = p.perm[r];
-            break;
-          }
-      }
-    }
-  }
-  return p;
-}
-
 /// Runs body(begin, end) over [0, count), sliced across the thread pool when
 /// the span is at least `options.parallel_threshold` amplitudes. Slice
 /// boundaries are aligned to multiples of 8 loop indices so the vector
@@ -368,8 +295,6 @@ inline std::size_t coset_base_k(std::size_t g, const int* spos, int k) {
 // (amplitudes for the 1q/2q diagonal kinds, coset groups otherwise) so ISA
 // variants slot into a uniform dispatch table. The scalar bodies accumulate
 // in ascending column order, matching apply_gate_inplace term for term.
-
-using RangeFn = void (*)(const Prepared&, cplx*, std::size_t, std::size_t);
 
 void s_oneq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
   const int q = p.q[0];
@@ -753,16 +678,21 @@ QAPPROX_TGT_AVX2 void a2_row_combine(cplx* dst, const cplx* scratch,
 // Four complex doubles per __m512d; narrow cases (low gate qubits) fall back
 // to the AVX2 variants, which every AVX-512 host also supports.
 
+// Shuffles and half extracts use the all-lanes maskz_ forms. The unmasked
+// intrinsics (and _mm512_castpd512_pd256, an extract underneath) pass GCC's
+// self-initialized undefined-vector placeholder through, which GCC 12
+// reports as -Wmaybe-uninitialized once inlined into a kernel loop. With a
+// full mask the zero passthrough folds away, so the code is the same.
 QAPPROX_TGT_AVX512 inline __m512d cmul4(__m512d a, __m512d b) {
-  const __m512d br = _mm512_movedup_pd(b);
-  const __m512d bi = _mm512_permute_pd(b, 0xFF);
-  return _mm512_fmaddsub_pd(a, br,
-                            _mm512_mul_pd(_mm512_permute_pd(a, 0x55), bi));
+  const __m512d br = _mm512_maskz_movedup_pd(0xFF, b);
+  const __m512d bi = _mm512_maskz_permute_pd(0xFF, b, 0xFF);
+  return _mm512_fmaddsub_pd(
+      a, br, _mm512_mul_pd(_mm512_maskz_permute_pd(0xFF, a, 0x55), bi));
 }
 
 QAPPROX_TGT_AVX512 inline __m512d cmul4s(__m512d a, __m512d sr, __m512d si) {
-  return _mm512_fmaddsub_pd(a, sr,
-                            _mm512_mul_pd(_mm512_permute_pd(a, 0x55), si));
+  return _mm512_fmaddsub_pd(
+      a, sr, _mm512_mul_pd(_mm512_maskz_permute_pd(0xFF, a, 0x55), si));
 }
 
 QAPPROX_TGT_AVX512 void a5_oneq_general(const Prepared& p, cplx* data,
@@ -867,8 +797,9 @@ QAPPROX_TGT_AVX512 void a5_kq_general(const Prepared& p, cplx* data,
         acc = _mm512_add_pd(
             acc, cmul4(_mm512_load_pd(reinterpret_cast<double*>(t + c)),
                        _mm512_loadu_pd(row + 2 * c)));
-      const __m256d half = _mm256_add_pd(_mm512_castpd512_pd256(acc),
-                                         _mm512_extractf64x4_pd(acc, 1));
+      const __m256d half =
+          _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xFF, acc, 0),
+                        _mm512_maskz_extractf64x4_pd(0xFF, acc, 1));
       const __m128d sum = _mm_add_pd(_mm256_castpd256_pd128(half),
                                      _mm256_extractf128_pd(half, 1));
       double out[2];
@@ -970,7 +901,7 @@ void n_twoq_general(const Prepared& p, cplx* data, std::size_t b,
 constexpr int kNumKinds = 10;
 
 struct KernelTable {
-  RangeFn fn[kNumKinds];
+  KernelFn fn[kNumKinds];
 };
 
 struct RowOps {
@@ -1053,24 +984,130 @@ std::size_t loop_count(KernelKind kind, std::size_t dim) {
   return 0;
 }
 
-void run_span(const Prepared& p, cplx* data, std::size_t dim,
-              const ApplyOptions& options) {
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  sliced(loop_count(p.kind, dim), dim, options,
-         [fn, &p, data](std::size_t b, std::size_t e) { fn(p, data, b, e); });
+}  // namespace
+
+Prepared prepare(const Matrix& op, const std::vector<int>& qubits,
+                 std::size_t dim) {
+  check_span(dim, qubits, op.rows());
+  QC_CHECK(op.rows() == op.cols());
+  Prepared p;
+  p.dim = dim;
+  p.kind = classify_kernel(op);
+  if (p.kind == KernelKind::GenericK) {
+    p.op = &op;
+    p.qubits = &qubits;
+    return p;
+  }
+  p.fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
+  p.count = loop_count(p.kind, dim);
+  p.k = static_cast<int>(qubits.size());
+  for (int i = 0; i < p.k; ++i) {
+    p.q[i] = qubits[i];
+    p.bit[i] = std::size_t{1} << qubits[i];
+    p.spos[i] = qubits[i];
+  }
+  std::sort(p.spos, p.spos + p.k);
+  const std::size_t sub = op.rows();
+  for (std::size_t s = 0; s < sub; ++s) {
+    std::size_t off = 0;
+    for (int i = 0; i < p.k; ++i)
+      if ((s >> i) & 1U) off |= p.bit[i];
+    p.offs[s] = off;
+  }
+  p.m = op.data();
+  for (std::size_t r = 0; r < sub; ++r) p.d[r] = op(r, r);
+  if (p.k == 2) {
+    p.lo_pos = p.spos[0];
+    p.hi_pos = p.spos[1];
+    if (p.kind == KernelKind::TwoQPermPhase) {
+      int moved = 0;
+      bool unit_phases = true;
+      for (int r = 0; r < 4; ++r) {
+        for (int c = 0; c < 4; ++c) {
+          if (op(r, c) != cplx{0.0, 0.0}) {
+            p.perm[r] = c;
+            p.phase[r] = op(r, c);
+          }
+        }
+        if (p.perm[r] != r) ++moved;
+        if (p.phase[r] != cplx{1.0, 0.0}) unit_phases = false;
+      }
+      if (moved == 2 && unit_phases) {
+        p.pure_swap = true;
+        for (int r = 0; r < 4; ++r)
+          if (p.perm[r] != r) {
+            p.swap_a = r;
+            p.swap_b = p.perm[r];
+            break;
+          }
+      }
+    }
+  }
+  return p;
 }
 
-}  // namespace
+void apply_prepared(std::vector<cplx>& state, const Prepared& p,
+                    const ApplyOptions& options) {
+  QC_CHECK_MSG(state.size() == p.dim, "state size differs from the prepared span");
+  if (p.kind == KernelKind::GenericK) {
+    apply_gate_inplace(state, *p.op, *p.qubits);
+    return;
+  }
+  cplx* data = state.data();
+  sliced(p.count, p.dim, options,
+         [&p, data](std::size_t b, std::size_t e) { p.fn(p, data, b, e); });
+}
 
 void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits,
                     const ApplyOptions& options) {
-  if (classify_kernel(op) == KernelKind::GenericK) {
-    apply_gate_inplace(state, op, qubits);
+  apply_prepared(state, prepare(op, qubits, state.size()), options);
+}
+
+void reduced_density_matrix(const std::vector<cplx>& state, const Prepared& p,
+                            cplx* rho) {
+  QC_CHECK_MSG(p.kind != KernelKind::GenericK,
+               "reduced density matrices cover k <= 4");
+  QC_CHECK(state.size() == p.dim);
+  const cplx* data = state.data();
+  // Accumulates t[a] * conj(t[b]) for a <= b in real arithmetic (no complex
+  // multiply special-value handling), then mirrors the Hermitian lower half.
+  const auto add = [](cplx& acc, cplx x, cplx y) {
+    acc += cplx{x.real() * y.real() + x.imag() * y.imag(),
+                x.imag() * y.real() - x.real() * y.imag()};
+  };
+  if (p.k == 1) {
+    // The trajectory hot case (single-qubit relaxation): one pair per coset.
+    const std::size_t bit = p.bit[0];
+    const std::size_t low = bit - 1;
+    double r00 = 0.0, r11 = 0.0;
+    cplx r01{0.0, 0.0};
+    for (std::size_t g = 0, groups = p.dim >> 1; g < groups; ++g) {
+      const std::size_t i0 = ((g & ~low) << 1) | (g & low);
+      const cplx a0 = data[i0];
+      const cplx a1 = data[i0 | bit];
+      r00 += std::norm(a0);
+      r11 += std::norm(a1);
+      add(r01, a0, a1);
+    }
+    rho[0] = r00;
+    rho[1] = r01;
+    rho[2] = std::conj(r01);
+    rho[3] = r11;
     return;
   }
-  const Prepared p = prepare(op, qubits, state.size());
-  run_span(p, state.data(), state.size(), options);
+  const std::size_t sub = std::size_t{1} << p.k;
+  std::fill_n(rho, sub * sub, cplx{0.0, 0.0});
+  cplx t[16];
+  for (std::size_t g = 0, groups = p.dim >> p.k; g < groups; ++g) {
+    const std::size_t base = coset_base_k(g, p.spos, p.k);
+    for (std::size_t s = 0; s < sub; ++s) t[s] = data[base | p.offs[s]];
+    for (std::size_t a = 0; a < sub; ++a)
+      for (std::size_t b = a; b < sub; ++b) add(rho[a * sub + b], t[a], t[b]);
+  }
+  for (std::size_t a = 1; a < sub; ++a)
+    for (std::size_t b = 0; b < a; ++b)
+      rho[a * sub + b] = std::conj(rho[b * sub + a]);
 }
 
 void apply_cx(std::vector<cplx>& state, int control, int target,
@@ -1117,29 +1154,31 @@ void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
   QC_CHECK(qubit >= 0 && (std::size_t{1} << qubit) < dim);
   Prepared p;
   p.kind = KernelKind::OneQDiag;
+  p.fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
+  p.dim = dim;
+  p.count = loop_count(p.kind, dim);
   p.k = 1;
   p.q[0] = qubit;
   p.bit[0] = std::size_t{1} << qubit;
   p.spos[0] = qubit;
   p.d[0] = d0;
   p.d[1] = d1;
-  run_span(p, state.data(), dim, options);
+  apply_prepared(state, p, options);
 }
 
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                 const ApplyOptions& options) {
   QC_CHECK(u.rows() == u.cols());
-  const KernelKind kind = classify_kernel(op);
-  if (kind == KernelKind::GenericK) {
+  const std::size_t dim = u.rows();
+  const Prepared p = prepare(op, qubits, dim);
+  if (p.kind == KernelKind::GenericK) {
     left_apply_inplace(u, op, qubits);
     return;
   }
-  const std::size_t dim = u.rows();
-  const Prepared p = prepare(op, qubits, dim);
   cplx* data = u.data();
   const std::size_t span = dim * dim;
   const RowOps& ops = row_ops(active_simd_isa());
-  switch (kind) {
+  switch (p.kind) {
     case KernelKind::OneQDiag:
     case KernelKind::TwoQDiag:
     case KernelKind::ThreeQDiag:
@@ -1223,21 +1262,19 @@ void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
 void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                  const ApplyOptions& options) {
   QC_CHECK(u.rows() == u.cols());
-  if (classify_kernel(op) == KernelKind::GenericK) {
-    right_apply_inplace(u, op, qubits);
-    return;
-  }
   const std::size_t dim = u.rows();
   // (u * embed(op)) transforms each row's sub-vector by op^T; rows are
   // contiguous in the row-major layout, so this is the unit-stride kernel.
   const Matrix op_t = op.transpose();
   const Prepared p = prepare(op_t, qubits, dim);
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  const std::size_t cnt = loop_count(p.kind, dim);
+  if (p.kind == KernelKind::GenericK) {
+    right_apply_inplace(u, op, qubits);
+    return;
+  }
   cplx* data = u.data();
   sliced(dim, dim * dim, options, [&](std::size_t b, std::size_t e) {
     for (std::size_t row = b; row < e; ++row)
-      fn(p, data + row * dim, 0, cnt);
+      p.fn(p, data + row * dim, 0, p.count);
   });
 }
 
@@ -1248,23 +1285,21 @@ void right_apply_accumulate(Matrix& accum, const Matrix& term, const Matrix& op,
   QC_CHECK_MSG(term.rows() == accum.rows() && term.cols() == accum.cols(),
                "accum and term must have identical shapes");
   const std::size_t dim = accum.rows();
-  if (classify_kernel(op) == KernelKind::GenericK) {
+  const Matrix op_t = op.transpose();
+  const Prepared p = prepare(op_t, qubits, dim);
+  if (p.kind == KernelKind::GenericK) {
     Matrix tmp = term;
     right_apply_inplace(tmp, op, qubits);
     row_axpy_real(accum.data(), tmp.data(), dim * dim, weight);
     return;
   }
-  const Matrix op_t = op.transpose();
-  const Prepared p = prepare(op_t, qubits, dim);
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  const std::size_t cnt = loop_count(p.kind, dim);
   const cplx* src = term.data();
   cplx* dst = accum.data();
   sliced(dim, dim * dim, options, [&](std::size_t b, std::size_t e) {
     std::vector<cplx> scratch(dim);
     for (std::size_t row = b; row < e; ++row) {
       std::copy_n(src + row * dim, dim, scratch.data());
-      fn(p, scratch.data(), 0, cnt);
+      p.fn(p, scratch.data(), 0, p.count);
       row_axpy_real(dst + row * dim, scratch.data(), dim, weight);
     }
   });

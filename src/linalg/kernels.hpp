@@ -131,7 +131,7 @@ SimdIsa resolve_simd_isa(const char* env_value);
 
 /// The ISA every kernel application currently dispatches to. Resolved once
 /// from QAPPROX_SIMD + CPUID on first use, then cached (a relaxed atomic
-/// read per kernel application).
+/// read per prepare()).
 SimdIsa active_simd_isa();
 
 /// Testing/benchmark hook: overrides the active ISA. Unsupported requests
@@ -162,12 +162,74 @@ struct ApplyOptions {
   std::size_t parallel_threshold = kKernelParallelThreshold;
 };
 
+struct Prepared;
+
+/// One ISA variant of a specialized kernel: transforms loop indices [b, e)
+/// of a span starting at `data`.
+using KernelFn = void (*)(const Prepared&, cplx* data, std::size_t b,
+                          std::size_t e);
+
+/// An operator bound to its target qubits on a span of `dim` amplitudes:
+/// everything a kernel application needs (kernel class, ISA variant, loop
+/// count, coset address offsets, permutation/diagonal structure), extracted
+/// once by prepare() so a caller that applies the same operator many times —
+/// a trajectory program over thousands of shots, a matrix apply over every
+/// row — pays classification, unpacking and bounds checks a single time.
+///
+/// Borrows rather than copies: `m` points into the operator's row-major
+/// entries, and the GenericK fallback keeps pointers to the operator and the
+/// qubit list. A Prepared must not outlive either. The ISA variant is the one
+/// active at prepare() time.
+struct Prepared {
+  KernelKind kind = KernelKind::GenericK;
+  KernelFn fn = nullptr;         // null for GenericK
+  std::size_t dim = 0;           // span size the offsets are valid for
+  std::size_t count = 0;         // loop indices fn walks over the span
+  int k = 1;                     // number of gate qubits (1..4)
+  int q[4] = {0, 0, 0, 0};       // qubit positions in operator order
+  std::size_t bit[4] = {};       // 1 << q[i]
+  int spos[4] = {0, 0, 0, 0};    // the same positions, sorted ascending
+  std::size_t offs[16] = {};     // sub-index -> address offset within a coset
+  int lo_pos = 0, hi_pos = 0;    // sorted positions for 2q coset enumeration
+  const cplx* m = nullptr;       // borrowed dense entries, row-major
+  cplx d[16] = {};               // diagonal entries
+  int perm[4] = {0, 1, 2, 3};    // source sub-index per output row (2q perm)
+  cplx phase[4] = {};
+  bool pure_swap = false;        // one transposition, all phases exactly 1
+  int swap_a = 0, swap_b = 0;    // the transposed sub-indices
+  const Matrix* op = nullptr;    // GenericK only: the borrowed operator
+  const std::vector<int>* qubits = nullptr;  // GenericK only
+};
+
+/// Binds `op` on `qubits` to a span of `dim` amplitudes (or matrix rows):
+/// validates the span and qubit list, classifies the operator and picks the
+/// active ISA's kernel. Operators on k > 4 qubits bind as GenericK and apply
+/// through the generic path.
+Prepared prepare(const Matrix& op, const std::vector<int>& qubits,
+                 std::size_t dim);
+
+/// state := (bound op) * state. `state` must have the bound span size, and
+/// that one comparison is the only check: nothing is classified, unpacked or
+/// validated again, so a trajectory shot loop applies each prepared step at
+/// the bare kernel cost.
+void apply_prepared(std::vector<cplx>& state, const Prepared& p,
+                    const ApplyOptions& options = {});
+
 /// Dispatch entry point: state := (op on qubits) * state, choosing a
 /// specialized kernel by shape and falling back to the generic path for
-/// k > 4. Drop-in replacement for apply_gate_inplace.
+/// k > 4. Drop-in replacement for apply_gate_inplace; prepare() then
+/// apply_prepared().
 void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits,
                     const ApplyOptions& options = {});
+
+/// Reduced density matrix of `state` on the bound operator's qubits, in
+/// operator order: rho[a * 2^k + b] = sum over cosets of
+/// psi[base | offs[a]] * conj(psi[base | offs[b]]), written to the first
+/// 4^k entries of `rho`. One pass over the state; Born weights of any Kraus
+/// set on those qubits follow as Tr(K†K rho). Requires k <= 4.
+void reduced_density_matrix(const std::vector<cplx>& state, const Prepared& p,
+                            cplx* rho);
 
 /// CX with no matrix in sight: swaps the target-flipped amplitude pairs in
 /// the control=1 half-space. Zero complex multiplies.

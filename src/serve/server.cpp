@@ -324,7 +324,7 @@ void QapproxServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed (stop()) or fatal: accept loop ends
+      return;  // listener shut down (stop()) or fatal: accept loop ends
     }
     counters_.connections.fetch_add(1, std::memory_order_relaxed);
     // Bound every blocking send: a peer that stops reading mid-frame stalls
@@ -861,13 +861,16 @@ void QapproxServer::stop() {
   stopping_.store(true);
   request_shutdown();
 
-  // 1. Stop accepting: closing the listener unblocks accept().
+  // 1. Stop accepting: shutdown() wakes a blocked accept() (and refuses new
+  // connects) without releasing the descriptor. Only after the accept thread
+  // is joined is the fd closed, so accept_loop never reads listen_fd_ while
+  // it is written and never calls accept() on a recycled fd number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Stop the watchdog before draining: a reap callback racing teardown
   // would touch the journal and scheduler mid-destruction.

@@ -169,33 +169,113 @@ void check_state_norm(double norm_squared) {
   throw common::SimulationError(os.str());
 }
 
+/// Mixed-unitary branches whose entries lie this close to the identity's
+/// are skipped instead of applied: the depolarizing identity branch,
+/// rescaled by 1/sqrt(p), differs from I by rounding only.
+constexpr double kIdentityBranchTolerance = 1e-14;
+
+/// True when a prepared operator is the identity to kIdentityBranchTolerance.
+/// Only the diagonal kernel classes can be (their off-diagonals are exactly
+/// zero), so the diagonal's real and imaginary parts decide.
+bool is_identity(const linalg::Prepared& p) {
+  switch (p.kind) {
+    case linalg::KernelKind::OneQDiag:
+    case linalg::KernelKind::TwoQDiag:
+    case linalg::KernelKind::ThreeQDiag:
+    case linalg::KernelKind::FourQDiag: break;
+    default: return false;
+  }
+  for (std::size_t s = 0; s < (std::size_t{1} << p.k); ++s)
+    if (std::fabs(p.d[s].real() - 1.0) > kIdentityBranchTolerance ||
+        std::fabs(p.d[s].imag()) > kIdentityBranchTolerance)
+      return false;
+  return true;
+}
+
+BoundChannel bind_channel(const CompiledNoiseOp& op, std::size_t dim) {
+  BoundChannel ch;
+  ch.mixed_unitary = op.mixed_unitary;
+  ch.ops.reserve(op.operators.size());
+  for (const linalg::Matrix& m : op.operators)
+    ch.ops.push_back(linalg::prepare(m, op.qubits, dim));
+  if (op.mixed_unitary) {
+    ch.probs = &op.probs;
+    ch.identity.reserve(ch.ops.size());
+    for (const linalg::Prepared& p : ch.ops) ch.identity.push_back(is_identity(p));
+    return ch;
+  }
+  QC_CHECK_MSG(!op.operators.empty() && op.qubits.size() <= 4,
+               "trajectory Kraus channels cover 1..4 qubits");
+  // effects[i] = K_i†K_i, entry (a, b) = sum_r conj(K_i(r, a)) K_i(r, b).
+  const std::size_t sub = op.operators.front().rows();
+  ch.effect_dim = sub;
+  ch.effects.assign(op.operators.size() * sub * sub, linalg::cplx{0.0, 0.0});
+  for (std::size_t i = 0; i < op.operators.size(); ++i) {
+    const linalg::Matrix& k = op.operators[i];
+    linalg::cplx* e = ch.effects.data() + i * sub * sub;
+    for (std::size_t r = 0; r < sub; ++r)
+      for (std::size_t a = 0; a < sub; ++a)
+        for (std::size_t b = 0; b < sub; ++b)
+          e[a * sub + b] += std::conj(k(r, a)) * k(r, b);
+  }
+  return ch;
+}
+
+/// Born weights p_i = ||K_i psi||^2 = Tr(K_i†K_i rho_red): one pass over the
+/// state builds the 2^k x 2^k reduced density matrix, then each weight is a
+/// 4^k-term trace. Clamped at 0 against rounding below zero.
+void born_weights(const StateVector& state, const BoundChannel& ch,
+                  TrajectoryScratch& scratch) {
+  const linalg::cplx* rho = scratch.reduced.data();
+  linalg::reduced_density_matrix(state.amplitudes(), ch.ops.front(),
+                                 scratch.reduced.data());
+  const std::size_t terms = ch.effect_dim * ch.effect_dim;
+  scratch.weights.resize(ch.ops.size());
+  for (std::size_t i = 0; i < ch.ops.size(); ++i) {
+    // Tr(E rho) = sum_ab E_ab rho_ba = sum_ab Re(E_ab conj(rho_ab)), rho
+    // Hermitian: a straight dot product over the two row-major arrays.
+    const linalg::cplx* e = ch.effects.data() + i * terms;
+    double w = 0.0;
+    for (std::size_t t = 0; t < terms; ++t)
+      w += e[t].real() * rho[t].real() + e[t].imag() * rho[t].imag();
+    scratch.weights[i] = std::max(0.0, w);
+  }
+}
+
 }  // namespace
 
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
-                                  TrajectoryScratch& scratch,
+TrajectoryProgram::TrajectoryProgram(const CompiledCircuit& compiled_circuit)
+    : compiled(compiled_circuit) {
+  const std::size_t dim = std::size_t{1} << compiled.num_qubits;
+  steps.reserve(compiled.steps.size());
+  for (const CompiledStep& step : compiled.steps) {
+    BoundStep bound{linalg::prepare(step.unitary, step.qubits, dim), {}};
+    bound.noise.reserve(step.noise.size());
+    for (const CompiledNoiseOp& op : step.noise)
+      bound.noise.push_back(bind_channel(op, dim));
+    steps.push_back(std::move(bound));
+  }
+}
+
+std::uint64_t run_trajectory_shot(const TrajectoryProgram& program,
+                                  common::Rng& rng, TrajectoryScratch& scratch,
                                   std::uint64_t fault_stream) {
   StateVector& state = scratch.state;
   state.reset();
-  for (const CompiledStep& step : compiled.steps) {
-    state.apply_matrix(step.unitary, step.qubits);
-    for (const CompiledNoiseOp& op : step.noise) {
-      if (op.mixed_unitary) {
+  for (const BoundStep& step : program.steps) {
+    state.apply_prepared(step.unitary);
+    for (const BoundChannel& ch : step.noise) {
+      if (ch.mixed_unitary) {
         // Branch weights are state independent: sample, apply one unitary.
-        const std::size_t pick = rng.discrete(op.probs);
-        state.apply_matrix(op.operators[pick], op.qubits);
+        const std::size_t pick = rng.discrete(*ch.probs);
+        if (!ch.identity[pick]) state.apply_prepared(ch.ops[pick]);
         continue;
       }
-      // General quantum-trajectory step: Born weights p_i = ||K_i psi||^2,
-      // evaluated on the single branch scratch instead of materializing every
-      // branch; the picked operator is then re-applied to the live state.
-      scratch.weights.resize(op.operators.size());
-      for (std::size_t i = 0; i < op.operators.size(); ++i) {
-        scratch.branch = state;
-        scratch.branch.apply_matrix(op.operators[i], op.qubits);
-        scratch.weights[i] = scratch.branch.norm_squared();
-      }
+      // General quantum-trajectory step: Born-weighted branch pick, then the
+      // picked operator is applied to the live state and renormalized.
+      born_weights(state, ch, scratch);
       const std::size_t pick = rng.discrete(scratch.weights);
-      state.apply_matrix(op.operators[pick], op.qubits);
+      state.apply_prepared(ch.ops[pick]);
       state.normalize();
     }
   }
@@ -207,20 +287,22 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
   }
   check_state_norm(state.norm_squared());
   std::uint64_t outcome = state.sample(rng);
-  return noise::sample_readout_flip(outcome, compiled.readout, rng);
+  return noise::sample_readout_flip(outcome, program.compiled.readout, rng);
 }
 
 std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng) {
+  const TrajectoryProgram program(compiled);
   TrajectoryScratch scratch(compiled.num_qubits);
-  return run_trajectory_shot(compiled, rng, scratch);
+  return run_trajectory_shot(program, rng, scratch);
 }
 
 std::vector<std::uint64_t> trajectory_counts(const CompiledCircuit& compiled,
                                              std::size_t shots, common::Rng& rng) {
+  const TrajectoryProgram program(compiled);
   std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
   TrajectoryScratch scratch(compiled.num_qubits);
   for (std::size_t shot = 0; shot < shots; ++shot)
-    ++counts[run_trajectory_shot(compiled, rng, scratch)];
+    ++counts[run_trajectory_shot(program, rng, scratch)];
   return counts;
 }
 
@@ -228,18 +310,20 @@ std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& com
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
                                                       std::uint64_t seed) {
-  return trajectory_counts_streamed(compiled, shot_begin, shot_end, seed,
-                                    common::Deadline::never(), nullptr);
+  return trajectory_counts_streamed(TrajectoryProgram(compiled), shot_begin,
+                                    shot_end, seed, common::Deadline::never(),
+                                    nullptr);
 }
 
-std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
+std::vector<std::uint64_t> trajectory_counts_streamed(const TrajectoryProgram& program,
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
                                                       std::uint64_t seed,
                                                       const common::Deadline& deadline,
                                                       std::size_t* completed) {
-  std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
-  TrajectoryScratch scratch(compiled.num_qubits);
+  const int num_qubits = program.compiled.num_qubits;
+  std::vector<std::uint64_t> counts(std::size_t{1} << num_qubits, 0);
+  TrajectoryScratch scratch(num_qubits);
   common::StopPoller poller(deadline, /*stride=*/4);
   std::size_t done = 0;
   for (std::size_t shot = shot_begin; shot < shot_end; ++shot) {
@@ -248,7 +332,7 @@ std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& com
     common::Rng rng(stream);
     // The per-shot stream seed doubles as the NaN-fault stream id: stable
     // across thread counts and block partitions.
-    ++counts[run_trajectory_shot(compiled, rng, scratch, stream)];
+    ++counts[run_trajectory_shot(program, rng, scratch, stream)];
     ++done;
   }
   if (completed != nullptr) *completed = done;

@@ -1,12 +1,17 @@
 // Compiled noisy-circuit programs: the reusable halves of the trajectory
 // engine, split so callers can amortize compilation across repetitions.
 //
-// A noisy circuit run has two phases with very different costs:
+// A noisy trajectory run has three phases with very different costs:
 //
 //  * compile — per (circuit, noise model): fetch gate matrices, bind the
 //    model's error channels to concrete qubits, precompute mixed-unitary
-//    decompositions. Identical for every shot.
-//  * evolve  — per shot: apply the precompiled steps to a fresh state vector,
+//    decompositions. Identical for every shot; cached by the engine and
+//    shared with the density-matrix engine.
+//  * bind    — per trajectory run: prepare every step and branch operator
+//    for the state's kernels once (linalg::Prepared), flag identity
+//    branches, precompute K†K for Born weights. Kept out of the compiled
+//    cache so exact-engine runs never pay for it.
+//  * evolve  — per shot: walk the bound steps over a fresh state vector,
 //    sampling noise branches from an RNG stream.
 //
 // The seed TrajectoryBackend fused both phases inside run_counts; the
@@ -99,15 +104,46 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
                                       const GateMatrixFn& matrix_fn = {},
                                       const CompileOptions& options = {});
 
+/// A compiled noise channel bound for shot replay.
+struct BoundChannel {
+  bool mixed_unitary = false;
+  const std::vector<double>* probs = nullptr;  // mixed-unitary branch weights
+  std::vector<linalg::Prepared> ops;           // one per branch
+  /// Mixed-unitary only: branch i equals the identity to 1e-14 (the dominant
+  /// depolarizing branch). It is still drawn, then skipped.
+  std::vector<std::uint8_t> identity;
+  /// General Kraus only: K_i†K_i, row-major 2^k x 2^k blocks (k <= 4) laid
+  /// end to end, so the Born weight of branch i is Tr(K_i†K_i rho_red) over
+  /// one reduced density matrix.
+  std::vector<linalg::cplx> effects;
+  std::size_t effect_dim = 0;  // 2^k
+};
+
+/// A compiled step bound for shot replay.
+struct BoundStep {
+  linalg::Prepared unitary;
+  std::vector<BoundChannel> noise;
+};
+
+/// A CompiledCircuit bound to the state-vector kernels for one trajectory
+/// run (phase 2 above). Borrows the compiled program's matrices and qubit
+/// lists, so it must not outlive `compiled`; read-only once built, so one
+/// program serves every thread of the run. The kernels are the ISA variants
+/// active at bind time.
+struct TrajectoryProgram {
+  explicit TrajectoryProgram(const CompiledCircuit& compiled);
+  const CompiledCircuit& compiled;
+  std::vector<BoundStep> steps;
+};
+
 /// Per-task reusable buffers for trajectory evolution: one state vector that
-/// is reset (not reallocated) every shot, plus a branch scratch for
-/// Born-weighted Kraus selection.
+/// is reset (not reallocated) every shot, Born weights, and the reduced
+/// density matrix they are read from.
 struct TrajectoryScratch {
-  explicit TrajectoryScratch(int num_qubits)
-      : state(num_qubits), branch(num_qubits) {}
+  explicit TrajectoryScratch(int num_qubits) : state(num_qubits) {}
   StateVector state;
-  StateVector branch;
   std::vector<double> weights;
+  std::array<linalg::cplx, 256> reduced{};  // 2^k x 2^k, k <= 4
 };
 
 /// Relative tolerance on |norm² - 1| after a shot's step loop. Unitary and
@@ -117,39 +153,43 @@ struct TrajectoryScratch {
 /// garbage.
 inline constexpr double kNormDriftTolerance = 1e-6;
 
-/// Evolves one shot: |0...0> through every compiled step, measurement sample,
-/// readout bit flips. All randomness is drawn from `rng` in a fixed order.
-/// Throws SimulationError when the final state fails the norm-drift guard.
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng);
-
-/// Same, but reusing caller-owned buffers across shots (the hot path; the
-/// two-argument overload is a convenience wrapper that allocates one).
+/// Evolves one shot: |0...0> through every bound step, measurement sample,
+/// readout bit flips. All randomness is drawn from `rng` in a fixed order:
+/// one draw per noise channel (identity branches included), then the
+/// measurement, then the readout flips. General Kraus channels pick branch i
+/// with Born weight Tr(K_i†K_i rho_red), then renormalize. Throws
+/// SimulationError when the final state fails the norm-drift guard.
 /// `fault_stream` keys deterministic NaN injection (faults::Site::StateNan);
 /// callers with no stable stream id pass 0.
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
-                                  TrajectoryScratch& scratch,
+std::uint64_t run_trajectory_shot(const TrajectoryProgram& program,
+                                  common::Rng& rng, TrajectoryScratch& scratch,
                                   std::uint64_t fault_stream = 0);
 
+/// Convenience wrapper: binds `compiled` and allocates buffers for one shot.
+std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng);
+
 /// Serial shot loop over one shared RNG stream (the seed TrajectoryBackend
-/// semantics — kept for the Backend API).
+/// semantics — kept for the Backend API). Binds once per call.
 std::vector<std::uint64_t> trajectory_counts(const CompiledCircuit& compiled,
                                              std::size_t shots, common::Rng& rng);
 
 /// Shot range [shot_begin, shot_end) with one counter-derived RNG stream per
 /// shot index (common::derive_stream_seed(seed, shot)). Disjoint ranges can
 /// run on different threads and their counts summed; the totals are
-/// bit-identical for every partition, hence every thread count.
+/// bit-identical for every partition, hence every thread count. Binds once
+/// per call.
 std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
                                                       std::uint64_t seed);
 
-/// Deadline-aware variant: polls `deadline` between shots and stops early on
-/// expiry, returning the counts accumulated so far. `*completed` (if non-null)
-/// receives the number of shots actually run from this range. The per-shot
-/// streams are unchanged, so completed shots are bit-identical to an unbounded
-/// run's.
-std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
+/// Deadline-aware variant over an already-bound program (the execution
+/// engine binds once per run and shares it across blocks): polls `deadline`
+/// between shots and stops early on expiry, returning the counts accumulated
+/// so far. `*completed` (if non-null) receives the number of shots actually
+/// run from this range. The per-shot streams are unchanged, so completed
+/// shots are bit-identical to an unbounded run's.
+std::vector<std::uint64_t> trajectory_counts_streamed(const TrajectoryProgram& program,
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
                                                       std::uint64_t seed,

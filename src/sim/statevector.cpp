@@ -71,6 +71,10 @@ void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>&
   linalg::apply_operator(amps_, op, qubits);
 }
 
+void StateVector::apply_prepared(const linalg::Prepared& op) {
+  linalg::apply_prepared(amps_, op);
+}
+
 void StateVector::reset() {
   std::fill(amps_.begin(), amps_.end(), cplx{0.0, 0.0});
   amps_[0] = cplx{1.0, 0.0};

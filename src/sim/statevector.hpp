@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "ir/circuit.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 
 namespace qc::sim {
@@ -33,6 +34,9 @@ class StateVector {
   /// normalized Kraus operators during trajectory evolution). Dispatches to
   /// the specialized kernels in linalg/kernels.hpp by operator shape.
   void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits);
+  /// Applies an operator already bound to this state's size
+  /// (linalg::prepare with dim 2^n): the bare kernel, nothing re-derived.
+  void apply_prepared(const linalg::Prepared& op);
 
   /// Back to |0...0> without reallocating; lets trajectory loops reuse one
   /// amplitude buffer across shots.

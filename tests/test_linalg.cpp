@@ -600,5 +600,67 @@ TEST(Kernels, EveryHostIsaMatchesScalarWithinTolerance) {
   force_simd_isa(prev);
 }
 
+TEST(Kernels, PreparedBorrowsEntriesAndReappliesLikeApplyOperator) {
+  common::Rng rng(71);
+  const int n = 5;
+  const auto state = kernel_test::random_state(n, rng);
+  for (int k = 1; k <= 5; ++k) {
+    const auto qs = kernel_test::distinct_qubits(n, k, rng);
+    const Matrix op = random_unitary(std::size_t{1} << k, rng);
+    const Prepared p = prepare(op, qs, state.size());
+    if (k <= 4) {
+      EXPECT_EQ(p.m, op.data());  // borrowed, not copied
+      EXPECT_EQ(p.kind, classify_kernel(op));
+    } else {
+      EXPECT_EQ(p.kind, KernelKind::GenericK);
+    }
+    // One binding applied twice equals two fresh dispatches.
+    std::vector<cplx> bound = state;
+    apply_prepared(bound, p);
+    apply_prepared(bound, p);
+    std::vector<cplx> fresh = state;
+    apply_operator(fresh, op, qs);
+    apply_operator(fresh, op, qs);
+    EXPECT_EQ(bound, fresh) << "k=" << k;
+  }
+  std::vector<cplx> wrong_size(8);
+  const Matrix x = random_unitary(2, rng);
+  EXPECT_THROW(apply_prepared(wrong_size, prepare(x, {0}, 16)), common::Error);
+}
+
+TEST(Kernels, ReducedDensityMatrixGivesBornWeights) {
+  // rho_red on the operator's qubits must reproduce ||K psi||^2 as
+  // Tr(K†K rho_red) for any K, at every width the kernels cover.
+  common::Rng rng(72);
+  for (int n = 1; n <= 6; ++n) {
+    const auto state = kernel_test::random_state(n, rng);
+    for (int k = 1; k <= std::min(n, 4); ++k) {
+      const auto qs = kernel_test::distinct_qubits(n, k, rng);
+      const std::size_t sub = std::size_t{1} << k;
+      Matrix kraus(sub, sub);
+      for (std::size_t r = 0; r < sub; ++r)
+        for (std::size_t c = 0; c < sub; ++c)
+          kraus(r, c) = cplx{rng.normal(), rng.normal()};
+      std::vector<cplx> rho(sub * sub);
+      reduced_density_matrix(state, prepare(kraus, qs, state.size()), rho.data());
+      const Matrix effect = kraus.adjoint() * kraus;
+      cplx trace{0.0, 0.0};
+      for (std::size_t a = 0; a < sub; ++a) {
+        for (std::size_t b = 0; b < sub; ++b) {
+          trace += effect(a, b) * rho[b * sub + a];
+          EXPECT_NEAR(std::abs(rho[a * sub + b] - std::conj(rho[b * sub + a])),
+                      0.0, 1e-12);
+        }
+      }
+      std::vector<cplx> branch = state;
+      apply_gate_inplace(branch, kraus, qs);
+      double norm = 0.0;
+      for (const cplx& v : branch) norm += std::norm(v);
+      EXPECT_NEAR(trace.real(), norm, 1e-9 * norm) << "n=" << n << " k=" << k;
+      EXPECT_NEAR(trace.imag(), 0.0, 1e-9 * norm);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qc::linalg

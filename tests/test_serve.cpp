@@ -7,7 +7,12 @@
 // disconnects, and client reconnect backoff.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 
 #include <atomic>
 #include <chrono>
@@ -1167,6 +1172,57 @@ TEST(Server, WriteBudgetOverflowDisconnectsInsteadOfBufferingForever) {
   Client fresh = Client::connect(opts.socket_path);
   EXPECT_EQ(fresh.call(ping_request(3)).get_string("status", ""), "ok");
   server.stop();
+}
+
+TEST(Server, StopWhileClientsConnectNeverHangsAConnection) {
+  // stop() races a stream of raw connects, in a loop: the listener must
+  // wake from accept(), refuse or close every connection it did not serve,
+  // and release its fd only after the accept thread is gone. A connection
+  // whose read times out was accepted (or queued) and then abandoned.
+  const ServerOptions opts = test_options("stoprace");
+  const std::string frame = encode_frame(ping_request(1).dump());
+  for (int round = 0; round < 20; ++round) {
+    QapproxServer server(opts);
+    server.start();
+    std::atomic<bool> done{false};
+    std::atomic<int> connected{0};
+    std::atomic<int> hung{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.emplace_back([&] {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, opts.socket_path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        while (!done.load()) {
+          const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+          ASSERT_GE(fd, 0);
+          if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)) == 0) {
+            connected.fetch_add(1);
+            timeval timeout{};
+            timeout.tv_sec = 5;
+            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+            // MSG_NOSIGNAL: the peer may already be gone (EPIPE, no SIGPIPE).
+            (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+            char buf[512];
+            const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+            if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+              hung.fetch_add(1);
+          }
+          ::close(fd);
+        }
+      });
+    }
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (connected.load() < 2 && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    server.stop();
+    done.store(true);
+    for (std::thread& t : clients) t.join();
+    EXPECT_GE(connected.load(), 2) << "round " << round;
+    EXPECT_EQ(hung.load(), 0) << "round " << round;
+  }
 }
 
 TEST(Client, ConnectWithRetryRidesOutALateBindAndEventuallyGivesUp) {

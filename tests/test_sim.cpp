@@ -4,19 +4,30 @@
 
 #include <array>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "algos/grover.hpp"
+#include "algos/mct.hpp"
+#include "algos/tfim.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/engine.hpp"
 #include "ir/circuit.hpp"
 #include "linalg/factories.hpp"
 #include "linalg/kernels.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
+#include "noise/channel.hpp"
+#include "noise/readout.hpp"
 #include "sim/backend.hpp"
 #include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/observables.hpp"
 #include "sim/statevector.hpp"
+#include "transpile/pipeline.hpp"
+#include "transpile/routing.hpp"
 
 namespace qc::sim {
 namespace {
@@ -330,12 +341,197 @@ TEST(Compiled, ScratchShotLoopMatchesAllocatingOverload) {
   common::Rng rng(11);
   const auto qc = random_basis_circuit(3, 16, rng);
   const auto compiled = compile_noisy_circuit(qc, model);
+  const TrajectoryProgram program(compiled);
   TrajectoryScratch scratch(compiled.num_qubits);
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     common::Rng a(seed), b(seed);
-    const auto with_scratch = run_trajectory_shot(compiled, a, scratch);
+    const auto with_scratch = run_trajectory_shot(program, a, scratch);
     const auto standalone = run_trajectory_shot(compiled, b);
     ASSERT_EQ(with_scratch, standalone);
+  }
+}
+
+// ---- bound trajectory program vs the per-application oracle ---------------
+
+/// Test-only oracle: the per-application shot loop that TrajectoryProgram
+/// replaced. Every application classifies and prepares its matrix again
+/// (StateVector::apply_matrix), and each Born weight comes from a copy of the
+/// state with one Kraus operator applied. Its draw order is the contract the
+/// bound loop keeps.
+std::uint64_t reference_shot(const CompiledCircuit& compiled, common::Rng& rng) {
+  StateVector state(compiled.num_qubits);
+  std::vector<double> weights;
+  for (const CompiledStep& step : compiled.steps) {
+    state.apply_matrix(step.unitary, step.qubits);
+    for (const CompiledNoiseOp& op : step.noise) {
+      if (op.mixed_unitary) {
+        state.apply_matrix(op.operators[rng.discrete(op.probs)], op.qubits);
+        continue;
+      }
+      weights.resize(op.operators.size());
+      for (std::size_t i = 0; i < op.operators.size(); ++i) {
+        StateVector branch = state;
+        branch.apply_matrix(op.operators[i], op.qubits);
+        weights[i] = branch.norm_squared();
+      }
+      state.apply_matrix(op.operators[rng.discrete(weights)], op.qubits);
+      state.normalize();
+    }
+  }
+  const std::uint64_t outcome = state.sample(rng);
+  return noise::sample_readout_flip(outcome, compiled.readout, rng);
+}
+
+std::vector<std::uint64_t> reference_counts(const CompiledCircuit& compiled,
+                                            std::size_t shots,
+                                            std::uint64_t seed) {
+  std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
+  for (std::size_t shot = 0; shot < shots; ++shot) {
+    common::Rng rng(common::derive_stream_seed(seed, shot));
+    ++counts[reference_shot(compiled, rng)];
+  }
+  return counts;
+}
+
+/// TVD a sampled distribution over `outcomes` outcomes keeps from the exact
+/// one except with probability `false_alarm`: by the Bretagnolle-Huber-Carol
+/// inequality, P(TVD >= t) <= 2^d exp(-2 N t^2) for d outcomes, N shots.
+double tvd_bound(std::size_t outcomes, std::size_t shots, double false_alarm) {
+  return std::sqrt((static_cast<double>(outcomes) * std::log(2.0) -
+                    std::log(false_alarm)) /
+                   (2.0 * static_cast<double>(shots)));
+}
+
+/// Pins the kernel ISA for one scope and restores the previous one.
+class IsaScope {
+ public:
+  explicit IsaScope(linalg::SimdIsa isa) : saved_(linalg::active_simd_isa()) {
+    linalg::force_simd_isa(isa);
+  }
+  ~IsaScope() { linalg::force_simd_isa(saved_); }
+  IsaScope(const IsaScope&) = delete;
+  IsaScope& operator=(const IsaScope&) = delete;
+
+ private:
+  linalg::SimdIsa saved_;
+};
+
+/// The serve layer's hardware-mode 3-qubit workloads.
+std::vector<std::pair<std::string, ir::QuantumCircuit>> hardware_workloads() {
+  algos::TfimModel tfim;
+  tfim.num_qubits = 3;
+  return {{"tfim", tfim.circuit_up_to(3)},
+          {"grover", algos::grover_circuit(3, 0b111)},
+          {"mct", algos::mct_battery_circuit(3)}};
+}
+
+TEST(Compiled, BoundShotLoopMatchesPerApplicationOracleOnHardwarePrograms) {
+  constexpr std::size_t kShots = 256;
+  constexpr std::uint64_t kSeed = 11;
+  for (const linalg::SimdIsa isa :
+       {linalg::SimdIsa::Scalar, linalg::best_supported_simd_isa()}) {
+    IsaScope pin(isa);
+    for (const char* device : {"santiago", "toronto"}) {
+      for (const auto& [name, circuit] : hardware_workloads()) {
+        exec::ExecutionConfig cfg =
+            exec::ExecutionConfig::hardware(noise::device_by_name(device));
+        cfg.shots = kShots;
+        cfg.seed = kSeed;
+        // The engine's own pipeline, rebuilt here so the oracle replays the
+        // exact program the engine binds.
+        const transpile::TranspileResult tr =
+            transpile::transpile(circuit, cfg.device, cfg.transpile_options());
+        const noise::NoiseModel model = noise::NoiseModel::from_device(
+            tr.restricted_device(cfg.device), cfg.noise_options);
+        for (int fuse = 1; fuse <= 4; ++fuse) {
+          SCOPED_TRACE(std::string(linalg::simd_isa_name(isa)) + " " + device +
+                       " " + name + " fuse=" + std::to_string(fuse));
+          CompileOptions copts;
+          copts.max_fuse_qubits = fuse;
+          const CompiledCircuit compiled =
+              compile_noisy_circuit(tr.circuit, model, {}, copts);
+          const auto oracle = reference_counts(compiled, kShots, kSeed);
+          ASSERT_EQ(trajectory_counts_streamed(compiled, 0, kShots, kSeed), oracle);
+          const auto expected = transpile::unpermute_distribution(
+              metrics::counts_to_distribution(oracle), tr.wire_of_virtual);
+          for (const std::size_t threads : {1u, 4u}) {
+            exec::EngineOptions eopts;
+            eopts.num_threads = threads;
+            eopts.trajectory_block = 32;  // 8 blocks: a real partition
+            eopts.max_fuse_qubits = fuse;
+            exec::ExecutionEngine engine(eopts);
+            exec::RunRequest req;
+            req.circuit = circuit;
+            req.config = cfg;
+            EXPECT_EQ(engine.run(req).probabilities, expected)
+                << threads << " threads";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Compiled, BoundTwoQubitKrausChannelMatchesOracle) {
+  // Amplitude damping on two qubits as one 4-operator Kraus set: the k = 2
+  // reduced-density-matrix Born-weight path, which the catalog noise models
+  // (single-qubit relaxation) never reach.
+  const auto ad_a = noise::amplitude_damping(0.3).kraus();
+  const auto ad_b = noise::amplitude_damping(0.15).kraus();
+  ir::QuantumCircuit qc(3);
+  qc.u3(1.2, 0.4, -0.3, 0).u3(2.1, -0.7, 0.2, 2).cx(0, 1).cx(2, 1).u3(0.9, 0.1, 0.5, 1);
+  CompiledCircuit compiled =
+      compile_noisy_circuit(qc, noise::NoiseModel::ideal(3));
+  ASSERT_GE(compiled.steps.size(), 2u);
+  for (const std::vector<int>& qubits :
+       {std::vector<int>{0, 2}, std::vector<int>{2, 1}}) {
+    CompiledNoiseOp op;
+    op.qubits = qubits;
+    for (const linalg::Matrix& ka : ad_a)
+      for (const linalg::Matrix& kb : ad_b) {
+        // Operator order: qubits[0] is the low bit of the 4x4 sub-index.
+        op.operators.push_back(linalg::kron(kb, ka));
+        op.adjoints.push_back(op.operators.back().adjoint());
+      }
+    compiled.steps[compiled.steps.size() / 2].noise.push_back(op);
+    compiled.steps.back().noise.push_back(std::move(op));
+  }
+  constexpr std::size_t kShots = 2000;
+  const auto oracle = reference_counts(compiled, kShots, 5);
+  EXPECT_EQ(trajectory_counts_streamed(compiled, 0, kShots, 5), oracle);
+  // And the channel really is sampled with its Born weights.
+  const auto exact = density_matrix_probabilities(compiled);
+  EXPECT_LT(metrics::total_variation(exact, metrics::counts_to_distribution(oracle)),
+            tvd_bound(exact.size(), kShots, 1e-3));
+}
+
+TEST(Compiled, EngineTrajectoriesConvergeToDensityMatrixInHardwareMode) {
+  // Same 3q hardware-mode request through the engine with the trajectory
+  // sampler on and off. Trajectories unravel the exact channels, so the
+  // sampled distribution is an unbiased estimate of the DM one.
+  constexpr std::size_t kShots = 8192;
+  const double bound = tvd_bound(8, kShots, 1e-3);  // ~0.028
+  algos::TfimModel tfim;
+  tfim.num_qubits = 3;
+  for (const linalg::SimdIsa isa :
+       {linalg::SimdIsa::Scalar, linalg::best_supported_simd_isa()}) {
+    IsaScope pin(isa);
+    for (const char* device : {"toronto", "santiago"}) {
+      SCOPED_TRACE(std::string(linalg::simd_isa_name(isa)) + " " + device);
+      exec::ExecutionEngine engine;
+      exec::RunRequest req;
+      req.circuit = tfim.circuit_up_to(3);
+      req.config = exec::ExecutionConfig::hardware(noise::device_by_name(device));
+      req.config.shots = kShots;
+      req.config.seed = 2024;
+      const exec::RunResult sampled = engine.run(req);
+      req.config.use_trajectories = false;
+      const exec::RunResult exact = engine.run(req);
+      ASSERT_EQ(sampled.record.engine.rfind("traj:", 0), 0u);
+      ASSERT_EQ(exact.record.engine.rfind("dm:", 0), 0u);
+      EXPECT_LT(metrics::total_variation(sampled.probabilities, exact.probabilities),
+                bound);
+    }
   }
 }
 
