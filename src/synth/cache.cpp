@@ -69,6 +69,7 @@ struct CacheState {
   FifoMap<QSearchCacheKey, CachedQSearch> qsearch;
   FifoMap<QFastCacheKey, CachedQFast> qfast;
   FifoMap<QFactorCacheKey, QFactorResult> qfactor;
+  FifoMap<ReducerCacheKey, std::vector<ApproxCircuit>> reducer;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -105,7 +106,8 @@ SynthCacheStats synth_cache_stats() {
   CacheState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   return SynthCacheStats{s.hits, s.misses,
-                         s.qsearch.size() + s.qfast.size() + s.qfactor.size()};
+                         s.qsearch.size() + s.qfast.size() + s.qfactor.size() +
+                             s.reducer.size()};
 }
 
 void clear_synth_cache() {
@@ -114,6 +116,7 @@ void clear_synth_cache() {
   s.qsearch.clear();
   s.qfast.clear();
   s.qfactor.clear();
+  s.reducer.clear();
 }
 
 std::optional<CachedQSearch> synth_cache_lookup(const QSearchCacheKey& key) {
@@ -126,6 +129,10 @@ std::optional<CachedQFast> synth_cache_lookup(const QFastCacheKey& key) {
 
 std::optional<QFactorResult> synth_cache_lookup(const QFactorCacheKey& key) {
   return locked_lookup(state().qfactor, key);
+}
+
+std::optional<std::vector<ApproxCircuit>> synth_cache_lookup(const ReducerCacheKey& key) {
+  return locked_lookup(state().reducer, key);
 }
 
 void synth_cache_store(const QSearchCacheKey& key, CachedQSearch entry) {
@@ -146,6 +153,12 @@ void synth_cache_store(const QFactorCacheKey& key, QFactorResult entry) {
   s.qfactor.store(key, std::move(entry));
 }
 
+void synth_cache_store(const ReducerCacheKey& key, std::vector<ApproxCircuit> stream) {
+  CacheState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.reducer.store(key, std::move(stream));
+}
+
 std::vector<std::pair<QSearchCacheKey, CachedQSearch>> synth_cache_dump_qsearch() {
   CacheState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -162,6 +175,12 @@ std::vector<std::pair<QFactorCacheKey, QFactorResult>> synth_cache_dump_qfactor(
   CacheState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   return s.qfactor.dump();
+}
+
+std::vector<std::pair<ReducerCacheKey, std::vector<ApproxCircuit>>> synth_cache_dump_reducer() {
+  CacheState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.reducer.dump();
 }
 
 }  // namespace qc::synth

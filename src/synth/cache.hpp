@@ -3,10 +3,12 @@
 // Synthesis is deterministic: a (target, structure space, options, seed)
 // tuple always produces the same result, so studies that synthesize the same
 // block repeatedly — the CX-error sweeps re-run every noise level against one
-// circuit, the TFIM studies revisit identical timestep blocks — can reuse the
-// first run's output. Keys follow the execution-engine idiom: a 64-bit
-// content fingerprint of the target (and, for QFactor, the seed structure)
-// paired with *exact* structural discriminators (dimensions, edge lists,
+// circuit, the TFIM studies revisit identical timestep blocks, a server
+// harvests the same reference circuit job after job — can reuse the first
+// run's output. Four result kinds share it: QSearch, QFast, QFactor and the
+// perturbative reducer. Keys follow the execution-engine idiom: a 64-bit
+// content fingerprint of the target (for QFactor also the seed structure;
+// for the reducer the reference circuit, before lowering) paired with *exact* structural discriminators (dimensions, edge lists,
 // bit-patterns of every numeric option, the seed, and the gradient mode), so
 // a fingerprint collision would still have to match every discriminator to
 // alias. Deadlines and callbacks are deliberately not keyed: deadlines don't
@@ -26,6 +28,7 @@
 #include "synth/qfactor.hpp"
 #include "synth/qfast.hpp"
 #include "synth/qsearch.hpp"
+#include "synth/reducer.hpp"
 
 namespace qc::synth {
 
@@ -40,7 +43,8 @@ struct SynthCacheStats {
 };
 
 /// Lifetime totals (also exported as synth.cache.{hits,misses} counters)
-/// plus the current entry count across all three result maps.
+/// plus the current entry count across the QSearch, QFast, QFactor and
+/// reducer maps.
 SynthCacheStats synth_cache_stats();
 
 /// Drops every cached entry (tests, benchmarks). Stats counters are kept.
@@ -98,6 +102,22 @@ struct QFactorCacheKey {
   auto operator<=>(const QFactorCacheKey&) const = default;
 };
 
+struct ReducerCacheKey {
+  std::uint64_t reference_fp = 0;  // circuit fingerprint: gates AND angles
+  int num_qubits = 0;
+  std::uint64_t num_gates = 0;
+  std::vector<std::uint64_t> keep_fraction_bits;
+  int variants_per_size = 0;
+  int full_reopt_max_cx = 0;
+  int full_reopt_max_qubits = 0;
+  int opt_max_iterations = 0;
+  std::uint64_t opt_tolerance_bits = 0;
+  int opt_lbfgs_memory = 0;
+  std::uint64_t seed = 0;
+  int gradient_mode = 0;  // full mode optimizes through HsCost
+  auto operator<=>(const ReducerCacheKey&) const = default;
+};
+
 /// A completed search plus the intermediate-callback stream it emitted.
 struct CachedQSearch {
   QSearchResult result;
@@ -112,10 +132,14 @@ struct CachedQFast {
 std::optional<CachedQSearch> synth_cache_lookup(const QSearchCacheKey& key);
 std::optional<CachedQFast> synth_cache_lookup(const QFastCacheKey& key);
 std::optional<QFactorResult> synth_cache_lookup(const QFactorCacheKey& key);
+/// A reducer entry is its callback stream (emission order); the sorted
+/// result is that stream put through reduce_circuit's sort.
+std::optional<std::vector<ApproxCircuit>> synth_cache_lookup(const ReducerCacheKey& key);
 
 void synth_cache_store(const QSearchCacheKey& key, CachedQSearch entry);
 void synth_cache_store(const QFastCacheKey& key, CachedQFast entry);
 void synth_cache_store(const QFactorCacheKey& key, QFactorResult entry);
+void synth_cache_store(const ReducerCacheKey& key, std::vector<ApproxCircuit> stream);
 
 // Full-cache enumeration in FIFO (insertion) order, for the disk snapshots
 // in synth/persist.hpp: re-storing a dump in order reproduces the same
@@ -123,5 +147,6 @@ void synth_cache_store(const QFactorCacheKey& key, QFactorResult entry);
 std::vector<std::pair<QSearchCacheKey, CachedQSearch>> synth_cache_dump_qsearch();
 std::vector<std::pair<QFastCacheKey, CachedQFast>> synth_cache_dump_qfast();
 std::vector<std::pair<QFactorCacheKey, QFactorResult>> synth_cache_dump_qfactor();
+std::vector<std::pair<ReducerCacheKey, std::vector<ApproxCircuit>>> synth_cache_dump_reducer();
 
 }  // namespace qc::synth

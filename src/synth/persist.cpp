@@ -30,6 +30,13 @@ std::string u64_hex(std::uint64_t v) {
   return buf;
 }
 
+/// A required member; a snapshot missing it is corrupt, not a crash.
+const Value& field(const Value& v, const char* name) {
+  const Value* found = v.find(name);
+  QC_CHECK_MSG(found != nullptr, std::string("synth snapshot: missing ") + name);
+  return *found;
+}
+
 std::uint64_t u64_from_hex(const Value& v) {
   const std::string& hex = v.as_string();
   QC_CHECK_MSG(!hex.empty() && hex.size() <= 16, "synth snapshot: bad u64 field");
@@ -157,19 +164,19 @@ Value qsearch_key_to_json(const QSearchCacheKey& k) {
 
 QSearchCacheKey qsearch_key_from_json(const Value& v) {
   QSearchCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
+  k.target_fp = u64_from_hex(field(v, "target_fp"));
   k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
   k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.edges = edges_from_json(*v.find("edges"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
-  k.depth_weight_bits = u64_from_hex(*v.find("depth_weight_bits"));
-  k.opt_tolerance_bits = u64_from_hex(*v.find("opt_tol_bits"));
+  k.edges = edges_from_json(field(v, "edges"));
+  k.success_threshold_bits = u64_from_hex(field(v, "success_bits"));
+  k.depth_weight_bits = u64_from_hex(field(v, "depth_weight_bits"));
+  k.opt_tolerance_bits = u64_from_hex(field(v, "opt_tol_bits"));
   k.max_cnots = static_cast<int>(v.get_int("max_cnots", 0));
   k.max_nodes = static_cast<int>(v.get_int("max_nodes", 0));
   k.opt_max_iterations = static_cast<int>(v.get_int("opt_max_iter", 0));
   k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
   k.restarts_per_node = static_cast<int>(v.get_int("restarts", 0));
-  k.seed = u64_from_hex(*v.find("seed"));
+  k.seed = u64_from_hex(field(v, "seed"));
   k.gradient_mode = static_cast<int>(v.get_int("gradient_mode", 0));
   return k;
 }
@@ -194,18 +201,18 @@ Value qfast_key_to_json(const QFastCacheKey& k) {
 
 QFastCacheKey qfast_key_from_json(const Value& v) {
   QFastCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
+  k.target_fp = u64_from_hex(field(v, "target_fp"));
   k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
   k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.edges = edges_from_json(*v.find("edges"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
-  k.opt_tolerance_bits = u64_from_hex(*v.find("opt_tol_bits"));
+  k.edges = edges_from_json(field(v, "edges"));
+  k.success_threshold_bits = u64_from_hex(field(v, "success_bits"));
+  k.opt_tolerance_bits = u64_from_hex(field(v, "opt_tol_bits"));
   k.max_blocks = static_cast<int>(v.get_int("max_blocks", 0));
   k.opt_max_iterations = static_cast<int>(v.get_int("opt_max_iter", 0));
   k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
   k.restarts_per_depth = static_cast<int>(v.get_int("restarts", 0));
   k.emit_coarse_passes = v.get_bool("coarse", false);
-  k.seed = u64_from_hex(*v.find("seed"));
+  k.seed = u64_from_hex(field(v, "seed"));
   k.gradient_mode = static_cast<int>(v.get_int("gradient_mode", 0));
   return k;
 }
@@ -225,14 +232,51 @@ Value qfactor_key_to_json(const QFactorCacheKey& k) {
 
 QFactorCacheKey qfactor_key_from_json(const Value& v) {
   QFactorCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
-  k.structure_fp = u64_from_hex(*v.find("structure_fp"));
+  k.target_fp = u64_from_hex(field(v, "target_fp"));
+  k.structure_fp = u64_from_hex(field(v, "structure_fp"));
   k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
   k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.tolerance_bits = u64_from_hex(*v.find("tol_bits"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
+  k.tolerance_bits = u64_from_hex(field(v, "tol_bits"));
+  k.success_threshold_bits = u64_from_hex(field(v, "success_bits"));
   k.max_sweeps = static_cast<int>(v.get_int("max_sweeps", 0));
   k.incremental = v.get_bool("incremental", false);
+  return k;
+}
+
+Value reducer_key_to_json(const ReducerCacheKey& k) {
+  Value out = Value::object();
+  out.set("reference_fp", u64_hex(k.reference_fp));
+  out.set("qubits", k.num_qubits);
+  out.set("gates", k.num_gates);
+  Value fractions = Value::array();
+  for (std::uint64_t bits : k.keep_fraction_bits) fractions.push_back(u64_hex(bits));
+  out.set("keep_fraction_bits", std::move(fractions));
+  out.set("variants", k.variants_per_size);
+  out.set("full_max_cx", k.full_reopt_max_cx);
+  out.set("full_max_qubits", k.full_reopt_max_qubits);
+  out.set("opt_max_iter", k.opt_max_iterations);
+  out.set("opt_tol_bits", u64_hex(k.opt_tolerance_bits));
+  out.set("opt_lbfgs", k.opt_lbfgs_memory);
+  out.set("seed", u64_hex(k.seed));
+  out.set("gradient_mode", k.gradient_mode);
+  return out;
+}
+
+ReducerCacheKey reducer_key_from_json(const Value& v) {
+  ReducerCacheKey k;
+  k.reference_fp = u64_from_hex(field(v, "reference_fp"));
+  k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
+  k.num_gates = static_cast<std::uint64_t>(v.get_int("gates", 0));
+  for (const Value& bits : field(v, "keep_fraction_bits").as_array())
+    k.keep_fraction_bits.push_back(u64_from_hex(bits));
+  k.variants_per_size = static_cast<int>(v.get_int("variants", 0));
+  k.full_reopt_max_cx = static_cast<int>(v.get_int("full_max_cx", 0));
+  k.full_reopt_max_qubits = static_cast<int>(v.get_int("full_max_qubits", 0));
+  k.opt_max_iterations = static_cast<int>(v.get_int("opt_max_iter", 0));
+  k.opt_tolerance_bits = u64_from_hex(field(v, "opt_tol_bits"));
+  k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
+  k.seed = u64_from_hex(field(v, "seed"));
+  k.gradient_mode = static_cast<int>(v.get_int("gradient_mode", 0));
   return k;
 }
 
@@ -298,6 +342,15 @@ std::string synth_cache_serialize() {
   }
   doc.set("qfactor", std::move(qfactor));
 
+  Value reducer = Value::array();
+  for (const auto& [key, stream] : synth_cache_dump_reducer()) {
+    Value row = Value::object();
+    row.set("key", reducer_key_to_json(key));
+    row.set("stream", stream_to_json(stream));
+    reducer.push_back(std::move(row));
+  }
+  doc.set("reducer", std::move(reducer));
+
   return doc.dump();
 }
 
@@ -309,11 +362,11 @@ std::size_t synth_cache_deserialize(const std::string& text) {
 
   if (const Value* rows = doc.find("qsearch")) {
     for (const Value& row : rows->as_array()) {
-      const QSearchCacheKey key = qsearch_key_from_json(*row.find("key"));
+      const QSearchCacheKey key = qsearch_key_from_json(field(row, "key"));
       const Value* result = row.find("result");
       QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
       CachedQSearch entry;
-      entry.result.best = approx_from_json(*result->find("best"));
+      entry.result.best = approx_from_json(field(*result, "best"));
       entry.result.converged = result->get_bool("converged", false);
       entry.result.nodes_expanded =
           static_cast<int>(result->get_int("nodes_expanded", 0));
@@ -328,11 +381,11 @@ std::size_t synth_cache_deserialize(const std::string& text) {
 
   if (const Value* rows = doc.find("qfast")) {
     for (const Value& row : rows->as_array()) {
-      const QFastCacheKey key = qfast_key_from_json(*row.find("key"));
+      const QFastCacheKey key = qfast_key_from_json(field(row, "key"));
       const Value* result = row.find("result");
       QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
       CachedQFast entry;
-      entry.result.best = approx_from_json(*result->find("best"));
+      entry.result.best = approx_from_json(field(*result, "best"));
       entry.result.converged = result->get_bool("converged", false);
       entry.result.depths_tried =
           static_cast<int>(result->get_int("depths_tried", 0));
@@ -345,7 +398,7 @@ std::size_t synth_cache_deserialize(const std::string& text) {
 
   if (const Value* rows = doc.find("qfactor")) {
     for (const Value& row : rows->as_array()) {
-      const QFactorCacheKey key = qfactor_key_from_json(*row.find("key"));
+      const QFactorCacheKey key = qfactor_key_from_json(field(row, "key"));
       const Value* result = row.find("result");
       QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
       QFactorResult entry;
@@ -356,6 +409,15 @@ std::size_t synth_cache_deserialize(const std::string& text) {
       entry.sweeps = static_cast<int>(result->get_int("sweeps", 0));
       entry.converged = result->get_bool("converged", false);
       synth_cache_store(key, std::move(entry));
+      ++loaded;
+    }
+  }
+
+  // Absent from snapshots written before the reducer was cached: no rows.
+  if (const Value* rows = doc.find("reducer")) {
+    for (const Value& row : rows->as_array()) {
+      const ReducerCacheKey key = reducer_key_from_json(field(row, "key"));
+      synth_cache_store(key, stream_from_json(field(row, "stream")));
       ++loaded;
     }
   }

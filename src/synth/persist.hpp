@@ -4,7 +4,7 @@
 // reuse across process lifetimes — exactly what a restarted qapprox server
 // needs to avoid cold-starting its most expensive cache. A snapshot is one
 // JSON document (<dir>/synth_cache.json) holding every in-memory entry of
-// all three result kinds in FIFO order:
+// all four result kinds (QSearch, QFast, QFactor, reducer) in FIFO order:
 //
 //   * 64-bit key fields (fingerprints, double bit patterns, seeds) are hex
 //     strings — JSON numbers are doubles and silently lose bits past 2^53.

@@ -1,12 +1,16 @@
 #include "synth/reducer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "common/error.hpp"
 #include "common/faults.hpp"
 #include "metrics/process.hpp"
+#include "obs/obs.hpp"
+#include "synth/cache.hpp"
 #include "synth/cost.hpp"
 #include "transpile/decompose.hpp"
 
@@ -134,17 +138,28 @@ std::vector<std::size_t> choose_subset(std::size_t total, std::size_t k, int var
   return {chosen.begin(), chosen.end()};
 }
 
-}  // namespace
+ReducerCacheKey make_cache_key(const QuantumCircuit& reference,
+                               const ReducerOptions& options) {
+  ReducerCacheKey key;
+  key.reference_fp = reference.fingerprint();
+  key.num_qubits = reference.num_qubits();
+  key.num_gates = reference.size();
+  for (double frac : options.keep_fractions)
+    key.keep_fraction_bits.push_back(std::bit_cast<std::uint64_t>(frac));
+  key.variants_per_size = options.variants_per_size;
+  key.full_reopt_max_cx = options.full_reopt_max_cx;
+  key.full_reopt_max_qubits = options.full_reopt_max_qubits;
+  key.opt_max_iterations = options.optimizer.max_iterations;
+  key.opt_tolerance_bits = std::bit_cast<std::uint64_t>(options.optimizer.tolerance);
+  key.opt_lbfgs_memory = options.optimizer.lbfgs_memory;
+  key.seed = options.seed;
+  key.gradient_mode = static_cast<int>(default_gradient_mode());
+  return key;
+}
 
-std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
-                                          const ReducerOptions& options,
-                                          bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (common::faults::enabled() &&
-      common::faults::fires(common::faults::Site::SynthFail, options.seed)) {
-    throw common::SynthesisError("injected synthesis fault (reducer, seed " +
-                                 std::to_string(options.seed) + ")");
-  }
+/// The reduction proper: every variant in the order the callback sees it.
+std::vector<ApproxCircuit> run_reducer(const QuantumCircuit& reference,
+                                       const ReducerOptions& options, bool& timed_out) {
   const QuantumCircuit basis = transpile::decompose_to_cx_u3(reference).unitary_part();
   const Matrix target = basis.to_unitary();
   const int n = basis.num_qubits();
@@ -166,7 +181,7 @@ std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
 
     for (int variant = 0; variant < variants; ++variant) {
       if (options.deadline.expired()) {
-        if (timed_out != nullptr) *timed_out = true;
+        timed_out = true;
         break;
       }
       if (!seen.insert({k, variant}).second) continue;
@@ -235,7 +250,51 @@ std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
       out.push_back(std::move(record));
     }
   }
+  // The optimizers stop on the deadline too and return their best point so
+  // far, so expiry after the last per-variant check may have truncated the
+  // final fit.
+  if (options.deadline.expired()) timed_out = true;
+  return out;
+}
 
+}  // namespace
+
+std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
+                                          const ReducerOptions& options,
+                                          bool* timed_out) {
+  static obs::Histogram& reducer_ns = obs::histogram("synth.reducer_ns");
+  obs::Span span("synth.reducer", &reducer_ns);
+  if (timed_out != nullptr) *timed_out = false;
+  // Fault injection precedes the cache, as in qsearch.
+  if (common::faults::enabled() &&
+      common::faults::fires(common::faults::Site::SynthFail, options.seed)) {
+    throw common::SynthesisError("injected synthesis fault (reducer, seed " +
+                                 std::to_string(options.seed) + ")");
+  }
+
+  std::optional<ReducerCacheKey> key;
+  std::vector<ApproxCircuit> out;
+  bool hit = false;
+  if (options.use_cache) {
+    key = make_cache_key(reference, options);
+    if (auto cached = synth_cache_lookup(*key)) {
+      hit = true;
+      out = std::move(*cached);
+      if (options.callback)
+        for (const ApproxCircuit& record : out) options.callback(record);
+    }
+  }
+  if (!hit) {
+    bool expired = false;
+    out = run_reducer(reference, options, expired);
+    if (timed_out != nullptr) *timed_out = expired;
+    // A timed-out run is a truncated reduction, not *the* result for this key.
+    if (key && !expired) synth_cache_store(*key, out);
+  }
+  span.arg("cache_hit", hit);
+
+  // The stream is stored in emission order, so a hit sorts the same
+  // sequence the miss did and ties land identically.
   std::sort(out.begin(), out.end(), [](const ApproxCircuit& a, const ApproxCircuit& b) {
     if (a.cnot_count != b.cnot_count) return a.cnot_count < b.cnot_count;
     return a.hs_distance < b.hs_distance;

@@ -32,9 +32,14 @@ struct ReducerOptions {
   OptimizeOptions optimizer;
   std::uint64_t seed = 0x52454455;
   IntermediateCallback callback;
-  /// Polled before each variant's optimization; on expiry the variants
-  /// finished so far are returned (and *timed_out is set).
+  /// Polled before each variant's optimization and inside it; on expiry the
+  /// variants finished so far are returned (and *timed_out is set, also when
+  /// it expired during the last variant's fit).
   common::Deadline deadline;
+  /// Memoize the whole reduction on (reference, options, seed); repeated
+  /// calls replay the recorded callback stream and return the first run's
+  /// result. Timed-out runs are never cached.
+  bool use_cache = synth_cache_enabled();
 };
 
 /// Generates approximations of `reference` (any gate set; lowered

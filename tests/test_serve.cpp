@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -380,11 +381,31 @@ TEST(SynthPersist, SerializeDeserializeRoundTripsBitExactly) {
   fres.converged = false;
   synth::synth_cache_store(fkey, fres);
 
+  synth::ReducerCacheKey rkey;
+  rkey.reference_fp = 0xFEDCBA9876543210ull;
+  rkey.num_qubits = 2;
+  rkey.num_gates = 5;
+  rkey.keep_fraction_bits = {std::bit_cast<std::uint64_t>(0.0),
+                             std::bit_cast<std::uint64_t>(0.35),
+                             std::bit_cast<std::uint64_t>(1.0)};
+  rkey.variants_per_size = 3;
+  rkey.full_reopt_max_cx = 7;
+  rkey.full_reopt_max_qubits = 3;
+  rkey.opt_max_iterations = 60;
+  rkey.opt_tolerance_bits = std::bit_cast<std::uint64_t>(1e-12);
+  rkey.opt_lbfgs_memory = 8;
+  rkey.seed = 0xFFFFFFFFFFFFFFF1ull;
+  rkey.gradient_mode = 1;
+  std::vector<synth::ApproxCircuit> rstream(2, entry.result.best);
+  rstream[0].source = rstream[1].source = "reducer";
+  rstream[1].hs_distance = 0.987654321098765432;
+  synth::synth_cache_store(rkey, rstream);
+
   const std::string snapshot = synth::synth_cache_serialize();
   synth::clear_synth_cache();
   EXPECT_FALSE(synth::synth_cache_lookup(key).has_value());
 
-  EXPECT_EQ(synth::synth_cache_deserialize(snapshot), 2u);
+  EXPECT_EQ(synth::synth_cache_deserialize(snapshot), 3u);
   const auto loaded = synth::synth_cache_lookup(key);
   ASSERT_TRUE(loaded.has_value());
   // %.17g parameters + hex bit patterns: the reload is bit-identical, so the
@@ -402,6 +423,26 @@ TEST(SynthPersist, SerializeDeserializeRoundTripsBitExactly) {
   ASSERT_TRUE(floaded.has_value());
   EXPECT_EQ(floaded->sweeps, 7);
   EXPECT_FALSE(floaded->converged);
+
+  const auto rloaded = synth::synth_cache_lookup(rkey);
+  ASSERT_TRUE(rloaded.has_value());
+  ASSERT_EQ(rloaded->size(), rstream.size());
+  for (std::size_t i = 0; i < rstream.size(); ++i) {
+    EXPECT_EQ((*rloaded)[i].circuit.fingerprint(), rstream[i].circuit.fingerprint());
+    EXPECT_EQ((*rloaded)[i].hs_distance, rstream[i].hs_distance);
+    EXPECT_EQ((*rloaded)[i].cnot_count, rstream[i].cnot_count);
+    EXPECT_EQ((*rloaded)[i].source, "reducer");
+  }
+
+  // Snapshots written before the reducer was cached carry no "reducer"
+  // array; they still load, with no reducer rows.
+  json::Value legacy = json::parse(snapshot);
+  json::Value trimmed = json::Value::object();
+  for (const char* kind : {"version", "qsearch", "qfast", "qfactor"})
+    trimmed.set(kind, *legacy.find(kind));
+  synth::clear_synth_cache();
+  EXPECT_EQ(synth::synth_cache_deserialize(trimmed.dump()), 2u);
+  EXPECT_FALSE(synth::synth_cache_lookup(rkey).has_value());
   synth::clear_synth_cache();
 }
 
@@ -423,6 +464,18 @@ TEST(SynthPersist, DiskRoundTripAndHostileFilesAreSafe) {
   }
   synth::clear_synth_cache();
   EXPECT_EQ(synth::synth_cache_load(dir), 0u);
+
+  // Well-formed JSON with a row missing a required member is corrupt too.
+  for (const char* doc : {R"({"version": 1, "qsearch": [{"result": {}}]})",
+                          R"({"version": 1, "reducer": [{"stream": []}]})",
+                          R"({"version": 1, "reducer": [{"key": {}}]})"}) {
+    {
+      std::ofstream out(dir + "/" + synth::kSynthCacheSnapshotFile, std::ios::trunc);
+      out << doc;
+    }
+    EXPECT_EQ(synth::synth_cache_load(dir), 0u) << doc;
+    EXPECT_EQ(synth::synth_cache_stats().entries, 0u) << doc;
+  }
 
   // Missing snapshot: clean cold start.
   const std::string empty_dir = make_temp_dir();
@@ -659,13 +712,14 @@ TEST(Server, WarmStartReloadsTheSynthesisCacheAcrossRestart) {
 
   ServerOptions opts = test_options("warm1");
   opts.synth_cache_dir = dir;
+  Value first_reply;
   {
     QapproxServer server(opts);
     server.start();
     Client client = Client::connect(opts.socket_path);
-    const Value reply = client.call(req);
-    const std::string status = reply.get_string("status", "?");
-    ASSERT_TRUE(status == "ok" || status == "degraded") << reply.dump();
+    first_reply = client.call(req);
+    const std::string status = first_reply.get_string("status", "?");
+    ASSERT_TRUE(status == "ok" || status == "degraded") << first_reply.dump();
     server.stop();  // snapshots the cache to `dir`
   }
   {
@@ -692,10 +746,18 @@ TEST(Server, WarmStartReloadsTheSynthesisCacheAcrossRestart) {
   const Value* synth_cache = stats_reply.find("result")->find("synth_cache");
   ASSERT_NE(synth_cache, nullptr);
   EXPECT_GT(synth_cache->get_int("warm_loaded", 0), 0);
+  EXPECT_FALSE(synth::synth_cache_dump_reducer().empty());
 
   const Value reply = client.call(req);
   const std::string status = reply.get_string("status", "?");
   ASSERT_TRUE(status == "ok" || status == "degraded") << reply.dump();
+  // Every tool the grover preset runs, the reducer included, replays from
+  // the snapshot, and the replay reproduces the first server's cloud.
+  const Value* result = reply.find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->find("report")->get_int("synth_cache_misses", -1), 0);
+  EXPECT_EQ(result->find("circuits")->dump(),
+            first_reply.find("result")->find("circuits")->dump());
   const synth::SynthCacheStats after = synth::synth_cache_stats();
   const double hits = static_cast<double>(after.hits - before.hits);
   const double misses = static_cast<double>(after.misses - before.misses);

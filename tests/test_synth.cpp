@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/deadline.hpp"
 #include "common/error.hpp"
@@ -644,6 +645,31 @@ TEST(Cache, QFactorRunsHit) {
   EXPECT_EQ(first.sweeps, second.sweeps);
 }
 
+// A 3-qubit reference whose 6 CNOTs reduce through both regimes: full
+// re-optimization at or below 2 kept CNOTs, frozen-interior boundary above.
+ir::QuantumCircuit reducer_reference(double angle) {
+  ir::QuantumCircuit ref(3);
+  ref.h(0);
+  for (int r = 0; r < 3; ++r) ref.cx(0, 1).rz(angle + 0.1 * r, 1).cx(1, 2).ry(angle, 2);
+  return ref;
+}
+
+ReducerOptions small_reducer_options() {
+  ReducerOptions opts;
+  opts.keep_fractions = {0.0, 0.34, 0.67, 1.0};
+  opts.variants_per_size = 2;
+  opts.full_reopt_max_cx = 2;
+  opts.optimizer.max_iterations = 25;
+  opts.use_cache = true;
+  return opts;
+}
+
+void expect_bit_identical(const std::vector<ApproxCircuit>& a,
+                          const std::vector<ApproxCircuit>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_bit_identical(a[i], b[i]);
+}
+
 TEST(Cache, DisabledBypassesLookup) {
   common::Rng rng(50);
   const Matrix target = linalg::random_unitary(4, rng);
@@ -651,12 +677,179 @@ TEST(Cache, DisabledBypassesLookup) {
   opts.max_cnots = 2;
   opts.max_nodes = 4;
   opts.use_cache = false;
+  ReducerOptions ropts = small_reducer_options();
+  ropts.use_cache = false;
   const SynthCacheStats before = synth_cache_stats();
   qsearch_synthesize(target, 2, opts);
   qsearch_synthesize(target, 2, opts);
+  reduce_circuit(reducer_reference(0.3), ropts);
+  reduce_circuit(reducer_reference(0.3), ropts);
   const SynthCacheStats after = synth_cache_stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(Cache, ReducerHitIsBitIdenticalToTheMiss) {
+  clear_synth_cache();
+  const ir::QuantumCircuit ref = reducer_reference(0.3);
+  ReducerOptions opts = small_reducer_options();
+  std::vector<ApproxCircuit> first_stream, second_stream;
+  const SynthCacheStats before = synth_cache_stats();
+  opts.callback = [&](const ApproxCircuit& c) { first_stream.push_back(c); };
+  bool timed_out = true;
+  const auto first = reduce_circuit(ref, opts, &timed_out);
+  EXPECT_FALSE(timed_out);
+  opts.callback = [&](const ApproxCircuit& c) { second_stream.push_back(c); };
+  timed_out = true;
+  const auto second = reduce_circuit(ref, opts, &timed_out);
+  EXPECT_FALSE(timed_out);
+  const SynthCacheStats after = synth_cache_stats();
+
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.entries, 1u);
+  ASSERT_EQ(first.size(), 6u);  // 1 + 2 + 2 + 1 variants
+  EXPECT_EQ(first.front().source, "reducer");
+  expect_bit_identical(first, second);
+  // The callback sees the stream in emission order on a hit as on the miss.
+  expect_bit_identical(first_stream, second_stream);
+
+  clear_synth_cache();
+  EXPECT_EQ(synth_cache_stats().entries, 0u);
+  const SynthCacheStats cleared = synth_cache_stats();
+  expect_bit_identical(first, reduce_circuit(ref, opts));
+  EXPECT_EQ(synth_cache_stats().misses - cleared.misses, 1u);
+}
+
+TEST(Cache, ReducerKeyDiscriminatesEveryOption) {
+  clear_synth_cache();
+  const ir::QuantumCircuit ref = reducer_reference(0.4);
+  const ReducerOptions base = small_reducer_options();
+  reduce_circuit(ref, base);
+
+  std::vector<ReducerOptions> variants(4, base);
+  variants[0].keep_fractions.back() = std::nextafter(1.0, 0.0);
+  variants[1].seed += 1;
+  variants[2].full_reopt_max_cx += 1;
+  variants[3].optimizer.max_iterations += 1;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const SynthCacheStats before = synth_cache_stats();
+    reduce_circuit(ref, variants[i]);
+    const SynthCacheStats after = synth_cache_stats();
+    EXPECT_EQ(after.hits, before.hits) << "variant " << i;
+    EXPECT_EQ(after.misses - before.misses, 1u) << "variant " << i;
+  }
+  const SynthCacheStats before = synth_cache_stats();
+  reduce_circuit(reducer_reference(0.4 + 1e-12), base);  // angle keys too
+  reduce_circuit(ref, base);
+  const SynthCacheStats after = synth_cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  clear_synth_cache();
+}
+
+TEST(Cache, TimedOutReducerRunIsNotStored) {
+  clear_synth_cache();
+  const ir::QuantumCircuit ref = reducer_reference(0.5);
+  ReducerOptions opts = small_reducer_options();
+  const common::CancelToken token = common::CancelToken::make();
+  opts.deadline = common::Deadline::never().with_token(token);
+  int calls = 0;
+  opts.callback = [&](const ApproxCircuit&) {
+    if (++calls == 2) token.request_cancel();
+  };
+  bool timed_out = false;
+  const auto truncated = reduce_circuit(ref, opts, &timed_out);
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(truncated.size(), 2u);
+  EXPECT_EQ(synth_cache_stats().entries, 0u);
+
+  // The next full run computes (miss) rather than replaying the truncation.
+  opts.deadline = common::Deadline::never();
+  opts.callback = {};
+  const SynthCacheStats before = synth_cache_stats();
+  const auto full = reduce_circuit(ref, opts, &timed_out);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(full.size(), 6u);
+  EXPECT_EQ(synth_cache_stats().misses - before.misses, 1u);
+  EXPECT_EQ(synth_cache_stats().hits, before.hits);
+  clear_synth_cache();
+}
+
+// Expiry during the last variant's fit passes no per-variant check: the
+// optimizer just returns its best point so far. Such a run is truncated too.
+TEST(Cache, ReducerRunExpiringInItsLastFitIsNotStored) {
+  clear_synth_cache();
+  const ir::QuantumCircuit ref = reducer_reference(0.55);
+  ReducerOptions opts = small_reducer_options();
+  opts.keep_fractions = {1.0};  // one variant: the boundary fit of the full skeleton
+  const common::CancelToken token = common::CancelToken::make();
+  opts.deadline = common::Deadline::never().with_token(token);
+  int calls = 0;
+  opts.callback = [&](const ApproxCircuit&) {
+    ++calls;
+    token.request_cancel();  // after the last check, as a mid-fit expiry would be
+  };
+  bool timed_out = false;
+  const auto truncated = reduce_circuit(ref, opts, &timed_out);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(truncated.size(), 1u);
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(synth_cache_stats().entries, 0u);
+  clear_synth_cache();
+}
+
+TEST(Cache, ReducerFaultFiresOnAWouldBeHit) {
+  struct FaultSpecGuard {
+    ~FaultSpecGuard() { common::faults::install_spec(""); }
+  } guard;
+  const std::string spec = "synth:0.5,seed=7";
+  common::faults::install_spec(spec);
+  std::uint64_t firing = 0;
+  while (!common::faults::fires(common::faults::Site::SynthFail, firing)) ++firing;
+  common::faults::install_spec("");
+
+  clear_synth_cache();
+  const ir::QuantumCircuit ref = reducer_reference(0.6);
+  ReducerOptions opts = small_reducer_options();
+  opts.seed = firing;
+  reduce_circuit(ref, opts);  // stored while faults are off
+
+  common::faults::install_spec(spec);
+  const SynthCacheStats before = synth_cache_stats();
+  EXPECT_THROW(reduce_circuit(ref, opts), common::SynthesisError);
+  EXPECT_EQ(synth_cache_stats().hits, before.hits);  // fired before the lookup
+  common::faults::install_spec("");
+  reduce_circuit(ref, opts);
+  EXPECT_EQ(synth_cache_stats().hits - before.hits, 1u);
+  clear_synth_cache();
+}
+
+TEST(Cache, ConcurrentReducerLookupsAgree) {
+  const std::vector<ir::QuantumCircuit> refs = {reducer_reference(0.7),
+                                                reducer_reference(0.8)};
+  ReducerOptions opts = small_reducer_options();
+  opts.use_cache = false;
+  std::vector<std::vector<ApproxCircuit>> expected;
+  for (const auto& ref : refs) expected.push_back(reduce_circuit(ref, opts));
+
+  // Four threads race misses, stores and hits on the same two keys: thread
+  // t starts on reference t % 2, then reduces both again.
+  clear_synth_cache();
+  opts.use_cache = true;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<ApproxCircuit>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 3; ++i) got[t].push_back(reduce_circuit(refs[(t + i) % 2], opts));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < 3; ++i) expect_bit_identical(expected[(t + i) % 2], got[t][i]);
+  EXPECT_EQ(synth_cache_stats().entries, 2u);
+  clear_synth_cache();
 }
 
 }  // namespace
